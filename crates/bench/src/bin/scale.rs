@@ -100,6 +100,7 @@ fn bench_fold(params: usize, folds: usize) -> FoldReport {
         agg.fold(sd, *n).expect("fold");
     }
     assert_eq!(agg.folded(), folds);
+    let accumulator_bytes = agg.accumulator_bytes();
     let global = agg.finish().expect("finish");
     let seconds = t0.elapsed().as_secs_f64();
     let rss_after_kb = proc_status_kb("VmRSS");
@@ -113,8 +114,8 @@ fn bench_fold(params: usize, folds: usize) -> FoldReport {
         params,
         folds,
         distinct,
-        // 6 limbs of 8 bytes per element, plus the f32 prototype.
-        accumulator_bytes: global.num_params() * 48 + model_bytes,
+        // The accumulator's own state, plus the f32 prototype.
+        accumulator_bytes: accumulator_bytes + model_bytes,
         materialized_bytes: folds * model_bytes,
         rss_before_kb,
         rss_after_kb,

@@ -498,6 +498,35 @@ mod tests {
         let out = fold_all(Aggregation::TrimmedMean { trim_k: 0 }, &updates);
         assert_eq!(out.model, fedavg(&updates).expect("fedavg"));
         assert_eq!(out.suspected.total(), 0);
+
+        // An exponent spread from subnormal to near f32::MAX in the weight
+        // promotes it to the 384-bit form mid-stream while the bias stays
+        // windowed: trim k = 0 must match the mean on both forms.
+        let spread = |w: [f32; 4], b: f32| {
+            let mut sd = StateDict::new();
+            sd.insert("w.weight", TensorKind::Weight, Tensor::from_vec(w.to_vec()));
+            sd.insert("w.bias", TensorKind::Bias, Tensor::from_vec(vec![b]));
+            sd
+        };
+        let updates = vec![
+            (spread([1.0, 2.0, 0.5, -1.5], 2.0), 1 << 32),
+            (spread([1e-30, -3e38, f32::from_bits(1), 7.0], -1.0), 3),
+            (spread([-1.0, 1e30, 0.25, -0.0], 0.5), (1 << 32) - 1),
+        ];
+        let mut mean = StreamingFedAvg::new(&updates[0].0);
+        for (sd, n) in &updates {
+            mean.fold(sd, *n).expect("fold");
+        }
+        assert_eq!(mean.forms(), ["wide", "window"]);
+        let bits = |sd: &StateDict| -> Vec<u32> {
+            sd.entries()
+                .iter()
+                .flat_map(|e| e.tensor.data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let out = fold_all(Aggregation::TrimmedMean { trim_k: 0 }, &updates);
+        assert_eq!(bits(&out.model), bits(&mean.finish().expect("finish")));
+        assert_eq!(out.suspected.total(), 0);
     }
 
     #[test]
